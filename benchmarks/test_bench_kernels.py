@@ -8,7 +8,13 @@ import numpy as np
 
 from repro.seq.kmers import kmer_array, revcomp_codes
 from repro.openmp.schedule import dynamic_makespan
-from repro.trinity.bowtie import BowtieConfig, BowtieIndex, align_read
+from repro.trinity.bowtie import BowtieConfig, BowtieIndex, bowtie_align
+from repro.trinity.chrysalis.graph_from_fasta import (
+    GraphFromFastaConfig,
+    build_kmer_to_contigs,
+    build_weldmer_index,
+    shared_seed_array,
+)
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
 from repro.util.rng import spawn_rng
@@ -52,12 +58,17 @@ def test_bench_bowtie_align(benchmark, bench_reads):
     contigs = inchworm_assemble(counts, InchwormConfig(seed=0))
     index = BowtieIndex(contigs, BowtieConfig())
     reads = bench_reads[:200]
-
-    def align_batch():
-        return [align_read(r, index) for r in reads]
-
-    records = benchmark(align_batch)
+    records = benchmark(bowtie_align, reads, index)
     assert len(records) == 200
+
+
+def test_bench_weldmer_scan(benchmark, bench_reads):
+    counts = jellyfish_count(bench_reads, 25)
+    contigs = inchworm_assemble(counts, InchwormConfig(seed=0))
+    cfg = GraphFromFastaConfig()
+    shared = shared_seed_array(build_kmer_to_contigs(contigs, cfg.k), cfg)
+    weldmers = benchmark(build_weldmer_index, bench_reads, shared, cfg)
+    assert all(n > 0 for n in weldmers.values())
 
 
 def test_bench_smith_waterman(benchmark):

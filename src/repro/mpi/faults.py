@@ -2,7 +2,8 @@
 
 The paper assumes a healthy 512-node iDataPlex run, but its own design
 choices — chunked round-robin distribution in GraphFromFasta, redundant
-whole-file reads in ReadsToTranscripts, PyFasta re-splitting for Bowtie —
+whole-file reads in ReadsToTranscripts, a pure-function read deal for
+Bowtie —
 are exactly what makes recovery from a lost rank cheap.  This module
 supplies the *fault* half of that story; the *recovery* half lives in
 :mod:`repro.parallel.recovery`.

@@ -14,7 +14,7 @@ All distributed stages share one calling convention — the
 
 * :mod:`repro.parallel.stage` — the ParallelStage protocol + registry.
 * :mod:`repro.parallel.chunks` — the chunked round-robin distribution
-  (paper Fig 3).
+  (paper Fig 3), of contigs and of reads.
 * :mod:`repro.parallel.mpi_jellyfish` — distributed Jellyfish k-mer
   counting (deal -> alltoall exchange -> owner merge; HipMer-style
   distributed k-mer analysis over the DSK partition hash).
@@ -23,9 +23,11 @@ All distributed stages share one calling convention — the
   (:mod:`repro.trinity.kmer_components`), hybrid MPI x threads: each
   rank runs the threaded engine per owned component, and the merge
   re-emits the exact global seed order.
-* :mod:`repro.parallel.mpi_bowtie` — PyFasta-split Bowtie (SS:III.A).
+* :mod:`repro.parallel.mpi_bowtie` — read-dealt Bowtie: each rank aligns
+  its reads against the full contig index (the paper's PyFasta contig
+  split of SS:III.A lives on only in Figure 10's analytic model).
 * :mod:`repro.parallel.mpi_graph_from_fasta` — hybrid loops 1+2 with
-  Allgatherv pooling (SS:III.B).
+  Allgatherv pooling (SS:III.B) and a read-sharded weldmer scan.
 * :mod:`repro.parallel.mpi_reads_to_transcripts` — redundant-read
   streaming assignment (SS:III.C).
 * :mod:`repro.parallel.mpi_butterfly` — distributed per-component
@@ -35,8 +37,8 @@ All distributed stages share one calling convention — the
   back end: orient + FastaToDebruijn + QuantifyGraph + Butterfly per
   component on its owner rank, so graphs never cross the wire and the
   driver's two serial middle regions disappear.
-* :mod:`repro.parallel.futurework` — the other named future-work
-  variants (striped I/O, sharded GFF setup).
+* :mod:`repro.parallel.futurework` — the striped-I/O future-work
+  variant of ReadsToTranscripts.
 * :mod:`repro.parallel.merge` — per-rank output merging strategies.
 * :mod:`repro.parallel.recovery` — transient-fault retry and crash
   recovery over the fault-injected runtime (:mod:`repro.mpi.faults`).

@@ -10,13 +10,21 @@ The paper warns about the final partial chunk ("the end index of the
 inner thread loop might have to be changed depending on how many Inchworm
 contigs are left"); :func:`chunk_ranges` clips the last chunk, and a
 property test asserts the partition is exact for all inputs.
+
+The read-side scans (Bowtie alignment, the GraphFromFasta weldmer scan)
+deal *reads* the same way: :func:`deal_reads` gives each rank its
+chunks of the read list, and :func:`undeal` puts per-rank results back
+in input order.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple, TypeVar
 
 from repro.errors import ScheduleError
+from repro.seq.kmers import BATCH_READS
+
+T = TypeVar("T")
 
 
 def n_chunks(n_items: int, chunk_size: int) -> int:
@@ -54,6 +62,37 @@ def rank_items(
     ranges = chunk_ranges(n_items, chunk_size)
     for c in chunks_for_rank(len(ranges), rank, nprocs):
         yield ranges[c]
+
+
+def _read_chunk_size(n_reads: int, nprocs: int) -> int:
+    """Chunk size of the read deal: one block per rank, split so that no
+    chunk exceeds :data:`~repro.seq.kmers.BATCH_READS` reads."""
+    if nprocs <= 0:
+        raise ScheduleError(f"nprocs must be positive, got {nprocs}")
+    return max(1, min(BATCH_READS, -(-n_reads // nprocs)))
+
+
+def deal_reads(n_reads: int, rank: int, nprocs: int) -> List[int]:
+    """Indices of the reads ``rank`` owns, in input order."""
+    return [
+        i
+        for start, stop in rank_items(n_reads, _read_chunk_size(n_reads, nprocs), rank, nprocs)
+        for i in range(start, stop)
+    ]
+
+
+def undeal(parts: Sequence[Sequence[T]], n_reads: int) -> List[T]:
+    """Inverse of :func:`deal_reads`: ``parts[r]`` holds one result per
+    read rank ``r`` owns, in its deal order; returns them in input order."""
+    nprocs = len(parts)
+    ranges = chunk_ranges(n_reads, _read_chunk_size(n_reads, nprocs))
+    taken = [0] * nprocs
+    out: List[T] = []
+    for c, (start, stop) in enumerate(ranges):
+        r = c % nprocs
+        out.extend(parts[r][taken[r] : taken[r] + stop - start])
+        taken[r] += stop - start
+    return out
 
 
 def default_chunk_size(n_items: int, nprocs: int, nthreads: int) -> int:

@@ -3,7 +3,8 @@
 The paper's software methodology (SS:III.C): ``Trinity.pl`` gains an
 ``nprocs`` argument; Chrysalis prepends ``mpirun -np nprocs`` to the
 GraphFromFasta and ReadsToTranscripts command lines (and Bowtie runs over
-PyFasta-split pieces).  Mirroring that, this driver launches one
+PyFasta-split pieces; here it deals reads instead, see
+:mod:`repro.parallel.mpi_bowtie`).  Mirroring that, this driver launches one
 simulated ``mpirun`` per Chrysalis substep, and — going past the paper
 into its named future work on "the non-parallelized regions" —
 distributes the Jellyfish front end (:mod:`repro.parallel.mpi_jellyfish`),

@@ -1,13 +1,12 @@
 """Implementations of the paper's named future work (SS:VI).
 
-The conclusions list three concrete directions; each is implemented here
-against the same kernels/runtime as the shipped design so they can be
-compared head-to-head (experiments ``fw-*``):
+The conclusions list three concrete directions, each compared
+head-to-head with the paper's design in the ``fw-*`` experiments:
 
 * "continue our work by focusing on the non-parallelized regions of
-  Chrysalis" — :func:`mpi_graph_from_fasta_sharded_setup` shards the
-  weldmer-index build (the dominant serial region) across ranks and
-  merges with an allgather;
+  Chrysalis" — the shipped :mod:`repro.parallel.mpi_graph_from_fasta`
+  now shards the weldmer-index build (the dominant serial region)
+  across ranks and merges with an allgather;
 * "investigate more optimal ways to partition the workload" — the
   ``dynamic`` strategy in :mod:`repro.parallel.scaling`;
 * "exploring MPI-I/O for RNA-Seq data" —
@@ -17,14 +16,11 @@ compared head-to-head (experiments ``fw-*``):
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional
 
 from repro.mpi.comm import SimComm
 from repro.obs.result import StageResult
 from repro.openmp import Schedule, ThreadTeam
-from repro.parallel.chunks import chunk_ranges, chunks_for_rank, default_chunk_size
-from repro.parallel.mpi_graph_from_fasta import GffInputs, GffOutputs, GffStageConfig
 from repro.parallel.mpi_reads_to_transcripts import (
     RttInputs,
     RttOutputs,
@@ -32,17 +28,6 @@ from repro.parallel.mpi_reads_to_transcripts import (
     _chunk_read_cost,
 )
 from repro.parallel.stage import parallel_stage
-from repro.trinity.chrysalis.components import build_components
-from repro.trinity.chrysalis.graph_from_fasta import (
-    WeldCandidate,
-    build_kmer_to_contigs,
-    build_weld_index,
-    build_weldmer_index,
-    find_weld_pairs_for_contig,
-    harvest_welds_for_contig,
-    shared_seed_array,
-    weld_index_keys,
-)
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadAssignment,
     assign_read,
@@ -109,137 +94,6 @@ def mpi_reads_to_transcripts_striped(
             "setup_time": setup_time,
             "concat_time": 0.0,
             "n_assignments": float(len(assignments)),
-        },
-        rank=comm.rank,
-    )
-
-
-@parallel_stage(
-    "gff-sharded-setup", inputs=GffInputs, config=GffStageConfig, outputs=GffOutputs
-)
-def mpi_graph_from_fasta_sharded_setup(
-    comm: SimComm,
-    inputs: GffInputs,
-    config: Optional[GffStageConfig] = None,
-) -> StageResult:
-    """GraphFromFasta with the weldmer build parallelized.
-
-    Instead of every rank scanning *all* reads for weldmers (the dominant
-    non-parallel region of Figure 8), each rank scans the reads whose
-    stream-chunk ordinal matches its rank, and the partial weldmer tables
-    are pooled and summed on every rank.  Weld results are identical to
-    :func:`repro.parallel.mpi_graph_from_fasta.mpi_graph_from_fasta` —
-    a tested invariant.
-    """
-    config = config or GffStageConfig()
-    contigs, reads, extra_pairs = inputs.contigs, inputs.reads, inputs.extra_pairs
-    cfg = config.gff
-    nthreads = config.nthreads
-    team = ThreadTeam(nthreads, Schedule.DYNAMIC)
-    chunk_size = config.chunk_size
-    if chunk_size is None:
-        chunk_size = default_chunk_size(len(contigs), comm.size, nthreads)
-    ranges = chunk_ranges(len(contigs), chunk_size)
-    my_chunks = chunks_for_rank(len(ranges), comm.rank, comm.size)
-
-    # Setup part A (still redundant): contig k-mer map — small.
-    def _setup_a():
-        kmer_map = build_kmer_to_contigs(contigs, cfg.k)
-        return kmer_map, shared_seed_array(kmer_map, cfg)
-
-    with comm.region("fw:gff:setup_a", serial=True) as setup_region:
-        kmer_map, shared = comm.shared("fw:gff:setup_a", _setup_a)
-    serial_time = setup_region.elapsed
-
-    # Setup part B (sharded): weldmer scan over my slice of the reads.
-    # Thread CPU time: every rank scans its shard concurrently, so wall
-    # time here would grow with nprocs through GIL contention.
-    with comm.region("fw:gff:setup_b"):
-        t0 = time.thread_time()
-        my_reads = [r for i, r in enumerate(reads) if (i // 256) % comm.size == comm.rank]
-        my_weldmers = build_weldmer_index(my_reads, shared, cfg)
-        comm.clock.advance(time.thread_time() - t0, label="fw:gff:weldmer_scan")
-        pooled_tables = comm.allgatherv(my_weldmers)
-    weldmers: Dict[str, int] = {}
-    for table in pooled_tables:
-        for window, count in table.items():
-            weldmers[window] = weldmers.get(window, 0) + count
-
-    # Loops 1 and 2: unchanged from the shipped implementation.
-    my_welds: List[WeldCandidate] = []
-    with comm.region("fw:gff:loop1", chunks=len(my_chunks)) as loop1_region:
-        for c in my_chunks:
-            start, stop = ranges[c]
-            result = team.map(
-                lambda idx: harvest_welds_for_contig(
-                    idx, contigs[idx], kmer_map, cfg, shared
-                ),
-                list(range(start, stop)),
-            )
-            for welds in result.values:
-                my_welds.extend(welds)
-            comm.clock.advance(
-                result.makespan,
-                label=f"fw:gff:loop1:chunk{c}",
-                attrs=result.as_span_attrs(),
-            )
-    loop1_time = loop1_region.elapsed
-
-    pooled = comm.allgatherv(my_welds)
-    welds: List[WeldCandidate] = [w for part in pooled for w in part]
-
-    def _weld_index():
-        index = build_weld_index(welds)
-        return index, weld_index_keys(index)
-
-    with comm.region("fw:gff:weld_index", serial=True) as widx_region:
-        weld_index, weld_keys = comm.shared("fw:gff:weld_index", _weld_index)
-    serial_time += widx_region.elapsed
-
-    my_pairs: Set[Tuple[int, int]] = set()
-    with comm.region("fw:gff:loop2", chunks=len(my_chunks)) as loop2_region:
-        for c in my_chunks:
-            start, stop = ranges[c]
-            result = team.map(
-                lambda idx: find_weld_pairs_for_contig(
-                    idx, contigs[idx], welds, weld_index, weldmers, cfg, weld_keys
-                ),
-                list(range(start, stop)),
-            )
-            for pairs in result.values:
-                my_pairs.update(pairs)
-            comm.clock.advance(
-                result.makespan,
-                label=f"fw:gff:loop2:chunk{c}",
-                attrs=result.as_span_attrs(),
-            )
-    loop2_time = loop2_region.elapsed
-
-    pooled_pairs = comm.allgatherv(sorted(my_pairs))
-    pair_set: Set[Tuple[int, int]] = set()
-    for part in pooled_pairs:
-        pair_set.update(part)
-    for a, b in extra_pairs:
-        pair_set.add((min(a, b), max(a, b)))
-    pairs = sorted(pair_set)
-
-    with comm.region("fw:gff:components", serial=True) as comp_region:
-        components = comm.shared(
-            "fw:gff:components", lambda: build_components(len(contigs), pairs)
-        )
-    serial_time += comp_region.elapsed
-
-    return StageResult(
-        stage="gff-sharded-setup",
-        outputs=GffOutputs(welds=welds, pairs=pairs, components=components),
-        makespan=comm.clock.now,
-        metrics={
-            "loop1_time": loop1_time,
-            "loop2_time": loop2_time,
-            "serial_time": serial_time,
-            "n_welds": float(len(welds)),
-            "n_pairs": float(len(pairs)),
-            "n_components": float(len(components)),
         },
         rank=comm.rank,
     )

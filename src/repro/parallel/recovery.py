@@ -13,9 +13,9 @@ that in:
   every chunk — including the dead rank's — over the new ``p``.  No
   per-rank state needs migrating: GraphFromFasta pools results on every
   rank, ReadsToTranscripts re-reads the whole file anyway (redundant
-  I/O), MPI Bowtie simply re-splits the contig FASTA into ``p - 1``
-  PyFasta pieces, and the distributed Butterfly re-deals its components
-  (both the round-robin and the master-dealt LPT assignments are pure
+  I/O), MPI Bowtie and the GraphFromFasta weldmer scan re-deal the
+  reads over ``p - 1`` ranks, and the distributed Butterfly re-deals
+  its components (both the round-robin and the master-dealt LPT assignments are pure
   functions of the workload and the new ``p``).  Stage outputs are
   therefore identical to a fault-free run — a tested invariant.
 

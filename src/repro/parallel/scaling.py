@@ -793,7 +793,11 @@ def simulate_bowtie_point(
     n_reads: int,
     calibration: PaperCalibration = CALIBRATION,
 ) -> BowtieScalingPoint:
-    """Simulate the PyFasta-split Bowtie at one node count.
+    """Simulate the paper's PyFasta-split Bowtie at one node count.
+
+    Figure 10's analytic model only: the shipped
+    :mod:`repro.parallel.mpi_bowtie` deals reads instead of splitting
+    the contigs.
 
     Per-node time: ``index_build * frac + n_reads * (c0 + c1 * frac^gamma)``
     with ``frac = 1/nodes`` (PyFasta balances pieces by total bases, so

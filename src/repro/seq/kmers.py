@@ -18,6 +18,11 @@ from repro.seq.alphabet import BASES, encode_bases
 
 MAX_K = 31
 
+#: Reads per :func:`kmer_arrays_batch` pass in the batched read kernels
+#: (Bowtie seeding, the weldmer scan): ReadsToTranscripts' default
+#: ``max_mem_reads``, which keeps the flattened code arrays to a few MB.
+BATCH_READS = 1000
+
 
 def _check_k(k: int) -> None:
     if not (1 <= k <= MAX_K):

@@ -7,23 +7,24 @@ SS:III.A).  This module provides the same interface surface: build an
 index over a contig FASTA, align reads to SAM, and extract scaffold pairs
 from the SAM output.
 
-Substitution note: real Bowtie is an FM-index aligner; a hashed seed-and-
-extend aligner has the same inputs, outputs and accuracy regime at our
-error rates, and — crucially for the reproduction — the same *parallel
-structure*: per-target-piece indexes can be built and queried
-independently, which is what the paper's PyFasta split exploits.
+Substitution note: real Bowtie is an FM-index aligner; a seed-and-extend
+aligner over a sorted seed index has the same inputs, outputs and
+accuracy regime at our error rates, and — crucially for the reproduction
+— the same *parallel structure*: every read aligns independently against
+one read-only index, so reads can be dealt across ranks
+(:mod:`repro.parallel.mpi_bowtie`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import PipelineError
 from repro.seq.alphabet import reverse_complement
-from repro.seq.kmers import kmer_array
+from repro.seq.kmers import BATCH_READS, kmer_array, kmer_arrays_batch
 from repro.seq.records import Contig, SeqRecord
 from repro.seq.sam import FLAG_REVERSE, FLAG_UNMAPPED, SamRecord, sam_header
 
@@ -45,27 +46,37 @@ class BowtieConfig:
 
 
 class BowtieIndex:
-    """Hashed seed index over a set of target contigs."""
+    """Seed index over a set of target contigs.
+
+    Stored as sorted arrays: ``codes`` holds each distinct seed once, and
+    its hits ``(contig, position)`` sit in ``hit_contig`` / ``hit_pos``
+    between ``bounds[i]`` and ``bounds[i + 1]``, in contig then position
+    order.  A position counts the contig's valid (N-free) seed windows.
+    """
 
     def __init__(self, contigs: Sequence[Contig], cfg: Optional[BowtieConfig] = None):
         self.cfg = cfg or BowtieConfig()
         self.contigs = list(contigs)
-        self._seeds: Dict[int, List[Tuple[int, int]]] = {}
-        self._build()
-
-    def _build(self) -> None:
-        s = self.cfg.seed_len
-        for cidx, contig in enumerate(self.contigs):
-            arr = kmer_array(contig.seq, s)
-            for pos, code in enumerate(arr.tolist()):
-                self._seeds.setdefault(code, []).append((cidx, pos))
+        self.contig_lens = np.array([len(c.seq) for c in self.contigs], dtype=np.int64)
+        codes, cidx, pos = kmer_arrays_batch(
+            [c.seq for c in self.contigs], self.cfg.seed_len
+        )
+        order = np.argsort(codes, kind="stable")
+        self.hit_contig = cidx[order]
+        self.hit_pos = pos[order]
+        self.codes, first = np.unique(codes[order], return_index=True)
+        self.bounds = np.append(first, order.size)
 
     @property
     def n_seeds(self) -> int:
-        return len(self._seeds)
+        return int(self.codes.size)
 
     def candidates(self, seed_code: int) -> List[Tuple[int, int]]:
-        return self._seeds.get(seed_code, [])
+        i = int(np.searchsorted(self.codes, np.uint64(seed_code)))
+        if i == self.codes.size or int(self.codes[i]) != seed_code:
+            return []
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        return list(zip(self.hit_contig[lo:hi].tolist(), self.hit_pos[lo:hi].tolist()))
 
     def header(self) -> List[str]:
         return sam_header([(c.name, len(c.seq)) for c in self.contigs])
@@ -120,14 +131,75 @@ def align_read_detail(
 ) -> Tuple[Optional[Tuple[int, int, int]], Optional[Tuple[int, int, int]]]:
     """Per-orientation bests: ``(fwd, rev)``, each ``(contig, pos, mm)``.
 
-    Exposed separately so the MPI Bowtie can merge per-piece bests with
-    exactly the serial tie-break (forward preferred on equal mismatches;
-    then lowest contig index, then position).
+    The one-read reference the batched :func:`bowtie_align` is tested
+    against: forward is preferred on equal mismatches, then the lowest
+    contig index, then position.
     """
     cfg = index.cfg
     fwd = _try_align(read.seq, index, cfg)
     rev = _try_align(reverse_complement(read.seq), index, cfg)
     return fwd, rev
+
+
+def _best_hits(
+    seqs: Sequence[str], index: BowtieIndex
+) -> List[Optional[Tuple[int, int, int]]]:
+    """Best ``(contig, pos, mismatches)`` per sequence, or None.
+
+    The batched form of :func:`_try_align`: one :func:`kmer_arrays_batch`
+    pass seeds every sequence, the seed offsets (``np.linspace`` over
+    each sequence's valid windows) and the index lookups are array
+    operations, and only the extension of each distinct candidate
+    ``(sequence, contig, start)`` runs per read.
+    """
+    cfg = index.cfg
+    best: List[Optional[Tuple[int, int, int]]] = [None] * len(seqs)
+    codes, sid, _pos = kmer_arrays_batch(seqs, cfg.seed_len)
+    if codes.size == 0 or index.codes.size == 0:
+        return best
+    counts = np.bincount(sid, minlength=len(seqs))
+    n_off = np.minimum(cfg.n_seed_offsets, counts)
+    q = np.repeat(np.arange(len(seqs)), n_off)
+    i = np.arange(q.size) - np.repeat(np.cumsum(n_off) - n_off, n_off)
+    # np.linspace(0, count - 1, n_off): i * step, last offset pinned.
+    step = (counts - 1) / np.maximum(n_off - 1, 1)
+    off = (i * step[q]).astype(np.int64)
+    last = (n_off[q] > 1) & (i == n_off[q] - 1)
+    off[last] = counts[q][last] - 1
+    seeds = codes[np.cumsum(counts)[q] - counts[q] + off]
+
+    slot = np.searchsorted(index.codes, seeds)
+    slot[slot == index.codes.size] = 0
+    n_hits = np.where(
+        index.codes[slot] == seeds, index.bounds[slot + 1] - index.bounds[slot], 0
+    )
+    hit = np.repeat(index.bounds[slot] - (np.cumsum(n_hits) - n_hits), n_hits)
+    hit += np.arange(hit.size)
+    cq = np.repeat(q, n_hits)
+    cidx = index.hit_contig[hit]
+    start = index.hit_pos[hit] - np.repeat(off, n_hits)
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ok = (start >= 0) & (start + lens[cq] <= index.contig_lens[cidx])
+    cq, cidx, start = cq[ok], cidx[ok], start[ok]
+    # Distinct candidates in (sequence, contig, start) order, so a strictly
+    # smaller mismatch count is the only way a later candidate wins.
+    order = np.lexsort((start, cidx, cq))
+    cq, cidx, start = cq[order], cidx[order], start[order]
+    new = np.ones(cq.size, dtype=bool)
+    new[1:] = (cq[1:] != cq[:-1]) | (cidx[1:] != cidx[:-1]) | (start[1:] != start[:-1])
+
+    limit = cfg.max_mismatches
+    contigs = index.contigs
+    for qi, ci, st in zip(cq[new].tolist(), cidx[new].tolist(), start[new].tolist()):
+        cur = best[qi]
+        if cur is not None and cur[2] == 0:
+            continue
+        seq = seqs[qi]
+        window = contigs[ci].seq[st : st + len(seq)]
+        mm = 0 if seq == window else _mismatches(seq, window, limit)
+        if mm <= limit and (cur is None or mm < cur[2]):
+            best[qi] = (ci, st, mm)
+    return best
 
 
 def resolve_orientation(
@@ -168,18 +240,33 @@ def resolve_orientation(
 def align_read(read: SeqRecord, index: BowtieIndex) -> SamRecord:
     """Align one read; returns an unmapped record when nothing clears the
     mismatch budget."""
-    fwd, rev = align_read_detail(read, index)
-    return resolve_orientation(read, fwd, rev, lambda i: index.contigs[i].name)
+    return bowtie_align([read], index)[0]
 
 
 def bowtie_align(
     reads: Sequence[SeqRecord],
-    contigs: Sequence[Contig],
+    target: Union[BowtieIndex, Sequence[Contig]],
     cfg: Optional[BowtieConfig] = None,
 ) -> List[SamRecord]:
-    """Align all reads against all contigs (single-node Bowtie run)."""
-    index = BowtieIndex(contigs, cfg)
-    return [align_read(r, index) for r in reads]
+    """Align reads against a built index, or against contigs (indexed
+    here with ``cfg``): one SAM record per read, in input order.
+
+    Reads go through in batches of at most :data:`BATCH_READS`, both
+    orientations of a batch seeded in one pass (:func:`_best_hits`).
+    """
+    index = target if isinstance(target, BowtieIndex) else BowtieIndex(target, cfg)
+    name = lambda i: index.contigs[i].name
+    records: List[SamRecord] = []
+    for lo in range(0, len(reads), BATCH_READS):
+        batch = reads[lo : lo + BATCH_READS]
+        seqs = [r.seq for r in batch]
+        bests = _best_hits(seqs + [reverse_complement(s) for s in seqs], index)
+        n = len(batch)
+        records.extend(
+            resolve_orientation(read, bests[j], bests[n + j], name)
+            for j, read in enumerate(batch)
+        )
+    return records
 
 
 def scaffold_pairs_from_sam(

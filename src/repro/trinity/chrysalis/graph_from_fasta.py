@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.errors import PipelineError
 from repro.seq.alphabet import reverse_complement
-from repro.seq.kmers import kmer_array, revcomp_codes
+from repro.seq.kmers import BATCH_READS, kmer_array, kmer_arrays_batch, revcomp_codes
 from repro.seq.records import Contig, SeqRecord
 from repro.trinity.chrysalis.components import Component, build_components
 
@@ -159,8 +159,15 @@ def build_weldmer_index(
     ``shared_seeds`` is a set of codes or, equivalently, an already-sorted
     uint64 array from :func:`shared_seed_array`.  Returns canonical
     weldmer string -> read-occurrence count.  This is the read-support
-    evidence loop 2 consults; it is the memory- and time-heavy serial
-    region of GraphFromFasta.
+    evidence loop 2 consults and the heaviest part of the setup region
+    (which the hybrid stage shards over the reads).
+
+    Reads are seeded in batches of at most :data:`BATCH_READS` with one
+    :func:`kmer_arrays_batch` pass each.  A read's weld k-mer ``j`` (in
+    its valid-window enumeration) is a candidate centre when
+    ``half <= j <= len - k - half``; the weldmer is the read text
+    ``[j - half, j + k + half)``.  Counts are keyed in read then
+    position order.
     """
     k = cfg.k
     half = k // 2
@@ -169,22 +176,20 @@ def build_weldmer_index(
     else:
         shared_arr = np.fromiter(shared_seeds, dtype=np.uint64, count=len(shared_seeds))
         shared_arr.sort()
-    if shared_arr.size == 0:
-        return {}
     index: Dict[str, int] = {}
-    for read in reads:
-        seq = read.seq
-        if len(seq) < cfg.window:
-            continue
-        canon = weld_kmer_codes(seq, k)
-        # Positions where a full 2k window fits: pos in [half, L-k-half].
-        view = canon[half : len(seq) - k - half + 1]
-        if view.size == 0:
-            continue
-        hits = np.nonzero(_in_sorted(view, shared_arr))[0]
-        for off in hits.tolist():
-            pos = off + half
-            weldmer = canonical_weldmer(seq[pos - half : pos + k + half])
+    if shared_arr.size == 0:
+        return index
+    seqs = [read.seq for read in reads if len(read.seq) >= cfg.window]
+    for lo in range(0, len(seqs), BATCH_READS):
+        batch = seqs[lo : lo + BATCH_READS]
+        codes, sid, pos = kmer_arrays_batch(batch, k)
+        lens = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
+        centre = np.flatnonzero((pos >= half) & (pos <= lens[sid] - k - half))
+        canon = codes[centre]
+        canon = np.minimum(canon, revcomp_codes(canon, k))
+        hits = centre[_in_sorted(canon, shared_arr)]
+        for q, j in zip(sid[hits].tolist(), pos[hits].tolist()):
+            weldmer = canonical_weldmer(batch[q][j - half : j + k + half])
             index[weldmer] = index.get(weldmer, 0) + 1
     return index
 

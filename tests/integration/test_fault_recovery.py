@@ -1,8 +1,9 @@
 """Fault recovery end-to-end: a crashed-and-recovered MPI stage produces
 *identical* outputs to a fault-free run — the paper's chunked round-robin
-map (GFF/RTT) and PyFasta re-split (Bowtie) redistribute the dead rank's
-work with no stage-body changes — plus stage-level checkpoint/restart in
-the driver and the fault-sweep experiment/CLI."""
+map (GFF/RTT) and the read deal (Bowtie, the GFF weldmer scan)
+redistribute the dead rank's work with no stage-body changes — plus
+stage-level checkpoint/restart in the driver and the fault-sweep
+experiment/CLI."""
 
 import pickle
 
@@ -27,7 +28,8 @@ from repro.parallel.mpi_reads_to_transcripts import (
 )
 from repro.parallel.recovery import RecoveryPolicy
 from repro.trinity import TrinityConfig
-from repro.trinity.bowtie import BowtieConfig
+from repro.seq.sam import write_sam
+from repro.trinity.bowtie import BowtieConfig, BowtieIndex, bowtie_align
 from repro.trinity.inchworm import inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
 
@@ -85,6 +87,26 @@ class TestGffRecovery:
         assert out.components == base.components
 
     @pytest.mark.timeout(120)
+    def test_setup_crash_recovers_identical_results(
+        self, smoke_reads, contigs, tcfg, gff_fault_free
+    ):
+        # The crash lands in the sharded weldmer scan; the survivors
+        # re-deal the reads and must pool the same weldmer table.
+        plan = FaultPlan(crashes=(CrashFault(rank=6, phase="gff:setup"),))
+        rec = mpirun_with_recovery(
+            mpi_graph_from_fasta, NPROCS,
+            GffInputs(contigs=contigs, reads=smoke_reads),
+            GffStageConfig(gff=tcfg.gff(), nthreads=2),
+            faults=plan,
+        )
+        base = gff_fault_free.outputs[0]
+        out = rec.outputs[0]
+        assert rec.metrics["faults.rank_losses"] == 1.0
+        assert canonical_welds(out.welds) == canonical_welds(base.welds)
+        assert out.pairs == base.pairs
+        assert out.components == base.components
+
+    @pytest.mark.timeout(120)
     def test_makespan_accumulates_and_recovery_spans_emitted(
         self, smoke_reads, contigs, tcfg, gff_fault_free
     ):
@@ -121,7 +143,9 @@ class TestGffRecovery:
 
     @pytest.mark.timeout(120)
     def test_recovery_is_deterministic(self, smoke_reads, contigs, tcfg):
-        plan = FaultPlan(crashes=(CrashFault(rank=2, at_time=0.01),))
+        # Early enough to land inside the replicated setup charge, the
+        # first compute on every rank (the whole stage takes ~8 ms here).
+        plan = FaultPlan(crashes=(CrashFault(rank=2, at_time=0.002),))
 
         def run():
             res = mpirun_with_recovery(
@@ -169,6 +193,23 @@ class TestRttAndBowtieRecovery:
         rec = mpirun_with_recovery(mpi_bowtie, NPROCS, inputs, config, faults=plan)
         # Re-split over the survivors must yield the identical merged SAM.
         assert rec.outputs[0].records == base.outputs[0].records
+
+    @pytest.mark.timeout(120)
+    def test_bowtie_crash_recovery_sam_file_matches_serial(
+        self, smoke_reads, contigs, tmp_path
+    ):
+        index = BowtieIndex(contigs, BowtieConfig())
+        serial = tmp_path / "serial.sam"
+        write_sam(serial, bowtie_align(smoke_reads, index), index.header())
+        plan = FaultPlan(crashes=(CrashFault(rank=4, phase="bowtie:align"),))
+        rec = mpirun_with_recovery(
+            mpi_bowtie, NPROCS,
+            BowtieInputs(reads=smoke_reads, contigs=contigs),
+            BowtieStageConfig(bowtie=BowtieConfig(), workdir=tmp_path / "wd"),
+            faults=plan,
+        )
+        assert rec.metrics["faults.rank_losses"] == 1.0
+        assert (tmp_path / "wd" / "bowtie.sam").read_bytes() == serial.read_bytes()
 
 
 class TestDriverFaultsAndCheckpoints:

@@ -1,13 +1,13 @@
 """Integration tests for the future-work implementations (paper SS:VI)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.experiments import run_experiment
 from repro.mpi import mpirun
-from repro.parallel.futurework import (
-    mpi_graph_from_fasta_sharded_setup,
-    mpi_reads_to_transcripts_striped,
-)
+from repro.parallel.chunks import deal_reads
+from repro.parallel.futurework import mpi_reads_to_transcripts_striped
 from repro.parallel.mpi_graph_from_fasta import (
     GffInputs,
     GffStageConfig,
@@ -18,7 +18,13 @@ from repro.parallel.mpi_reads_to_transcripts import (
     RttStageConfig,
     mpi_reads_to_transcripts,
 )
-from repro.trinity.chrysalis.graph_from_fasta import GraphFromFastaConfig, graph_from_fasta
+from repro.trinity.chrysalis.graph_from_fasta import (
+    GraphFromFastaConfig,
+    build_kmer_to_contigs,
+    build_weldmer_index,
+    graph_from_fasta,
+    shared_seed_array,
+)
 from repro.trinity.chrysalis.reads_to_transcripts import ReadsToTranscriptsConfig
 from repro.trinity.inchworm import InchwormConfig, inchworm_assemble
 from repro.trinity.jellyfish import jellyfish_count
@@ -71,25 +77,40 @@ class TestStripedRtt:
 
 
 class TestShardedGffSetup:
+    """The shipped GraphFromFasta shards the weldmer scan (SS:VI's
+    "non-parallelized regions of Chrysalis") across ranks."""
+
     def test_identical_results_to_shipped(self, smoke_reads, artefacts):
         contigs, _gff = artefacts
         cfg = GraphFromFastaConfig(k=24)
+        shared = shared_seed_array(build_kmer_to_contigs(contigs, cfg.k), cfg)
+        full = build_weldmer_index(smoke_reads, shared, cfg)
+        for nprocs in (3, 8):
+            pooled = Counter()
+            for rank in range(nprocs):
+                shard = [smoke_reads[i] for i in deal_reads(len(smoke_reads), rank, nprocs)]
+                pooled.update(build_weldmer_index(shard, shared, cfg))
+            assert dict(pooled) == full
         inputs = GffInputs(contigs=contigs, reads=smoke_reads)
         config = GffStageConfig(gff=cfg, nthreads=2)
-        shipped = mpirun(mpi_graph_from_fasta, 3, inputs, config)
-        sharded = mpirun(mpi_graph_from_fasta_sharded_setup, 3, inputs, config)
-        assert sharded.outputs[0].pairs == shipped.outputs[0].pairs
-        assert sharded.outputs[0].components == shipped.outputs[0].components
+        one = mpirun(mpi_graph_from_fasta, 1, inputs, config)
+        sharded = mpirun(mpi_graph_from_fasta, 3, inputs, config)
+        assert sharded.outputs[0].pairs == one.outputs[0].pairs
+        assert sharded.outputs[0].components == one.outputs[0].components
 
     def test_matches_serial(self, smoke_reads, artefacts):
         contigs, gff = artefacts
-        cfg = GraphFromFastaConfig(k=24)
-        sharded = mpirun(
-            mpi_graph_from_fasta_sharded_setup, 4,
-            GffInputs(contigs=contigs, reads=smoke_reads),
-            GffStageConfig(gff=cfg, nthreads=2),
-        )
-        assert sharded.outputs[0].pairs == gff.pairs
+        key = lambda w: (w.owner, w.seed_code, w.left_flank, w.seed, w.right_flank)
+        for nprocs in (1, 3, 8):
+            run = mpirun(
+                mpi_graph_from_fasta, nprocs,
+                GffInputs(contigs=contigs, reads=smoke_reads),
+                GffStageConfig(gff=GraphFromFastaConfig(k=24), nthreads=2),
+            )
+            for r in run.outputs:
+                assert sorted(r.welds, key=key) == sorted(gff.welds, key=key)
+                assert r.pairs == gff.pairs
+                assert r.components == gff.components
 
 
 class TestFutureWorkExperiments:

@@ -15,8 +15,8 @@ from repro.parallel.mpi_reads_to_transcripts import (
     mpi_reads_to_transcripts,
     mpi_reads_to_transcripts_master_slave,
 )
-from repro.seq.sam import read_sam
-from repro.trinity.bowtie import BowtieConfig, bowtie_align
+from repro.seq.sam import read_sam, write_sam
+from repro.trinity.bowtie import BowtieConfig, BowtieIndex, bowtie_align
 from repro.trinity.chrysalis.graph_from_fasta import GraphFromFastaConfig, graph_from_fasta
 from repro.trinity.chrysalis.reads_to_transcripts import (
     ReadsToTranscriptsConfig,
@@ -58,16 +58,33 @@ class TestMpiBowtie:
         merged = list(read_sam(tmp_path / "bowtie.sam"))
         assert len(merged) == len(smoke_reads)
 
-    def test_split_time_charged_once(self, smoke_reads, artefacts):
+    @pytest.mark.parametrize("nprocs", [1, 3, 8])
+    def test_every_read_aligned_once(self, smoke_reads, artefacts, nprocs):
         _counts, contigs, _gff = artefacts
         run = mpirun(
-            mpi_bowtie, 3,
+            mpi_bowtie, nprocs,
             BowtieInputs(reads=smoke_reads, contigs=contigs),
             BowtieStageConfig(bowtie=BowtieConfig()),
         )
-        split_times = [r.split_time for r in run.outputs]
-        assert split_times[0] > 0
-        assert all(t == 0.0 for t in split_times[1:])
+        assert _phase_reads(run, "bowtie:align") == len(smoke_reads)
+
+    @pytest.mark.parametrize("nprocs", [1, 3, 8])
+    def test_sam_file_matches_serial(self, smoke_reads, artefacts, tmp_path, nprocs):
+        _counts, contigs, _gff = artefacts
+        index = BowtieIndex(contigs, BowtieConfig())
+        serial = tmp_path / "serial.sam"
+        write_sam(serial, bowtie_align(smoke_reads, index), index.header())
+        mpirun(
+            mpi_bowtie, nprocs,
+            BowtieInputs(reads=smoke_reads, contigs=contigs),
+            BowtieStageConfig(bowtie=BowtieConfig(), workdir=tmp_path / "wd"),
+        )
+        assert (tmp_path / "wd" / "bowtie.sam").read_bytes() == serial.read_bytes()
+
+
+def _phase_reads(run, label):
+    """Sum of the ``reads`` attributes of every rank's ``label`` phase."""
+    return sum(s.attr("reads", 0) for s in run.spans if s.kind == "phase" and s.label == label)
 
 
 class TestMpiGff:
@@ -86,6 +103,16 @@ class TestMpiGff:
             assert sorted(r.welds, key=key) == sorted(gff.welds, key=key)
             assert r.pairs == gff.pairs
             assert r.components == gff.components
+
+    @pytest.mark.parametrize("nprocs", [1, 3, 8])
+    def test_weldmer_scan_reads_each_read_once(self, smoke_reads, artefacts, nprocs):
+        _counts, contigs, _gff = artefacts
+        run = mpirun(
+            mpi_graph_from_fasta, nprocs,
+            GffInputs(contigs=contigs, reads=smoke_reads),
+            GffStageConfig(gff=GraphFromFastaConfig(k=24), nthreads=2),
+        )
+        assert _phase_reads(run, "gff:setup") == len(smoke_reads)
 
     def test_serial_region_time_nprocs_independent(self, smoke_reads, artefacts):
         """The redundant serial regions are computed once and charged at

@@ -41,7 +41,6 @@ class TestRegistry:
             "butterfly",
             "chrysalis-backend",
             "gff",
-            "gff-sharded-setup",
             "inchworm",
             "jellyfish",
             "rtt",
